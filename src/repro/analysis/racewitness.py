@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import itertools
 import json
 import sys
 import textwrap
@@ -164,6 +165,7 @@ class LocksetWitness(LockOrderWitness):
         self._race_list: list[RaceReport] = []
         self._vars_lock = threading.Lock()
         self._pause_depth = 0
+        self._thread_ids = itertools.count()
 
     @contextmanager
     def paused(self) -> Iterator[None]:
@@ -226,7 +228,12 @@ class LocksetWitness(LockOrderWitness):
 
     # -- the Eraser state machine ------------------------------------------------
     def _on_access(self, var: str, *, write: bool) -> None:
-        tid = threading.get_ident()
+        # Not threading.get_ident(): CPython reuses it once a thread
+        # exits, so short threads run back to back would pass for one
+        # thread and never leave the exclusive phase.
+        tid = getattr(self._tls, "witness_id", None)
+        if tid is None:
+            tid = self._tls.witness_id = next(self._thread_ids)
         tname = threading.current_thread().name
         held = set(self._held())
         race: RaceReport | None = None

@@ -13,15 +13,17 @@ Engines:
   variable (NumPy kernels release the GIL, so compressor-bound tasks
   overlap);
 * ``process`` — N *pinned* single-process executors (one per worker
-  slot), for NumPy-bound collection that needs real cores.  Tasks are
-  grouped by ``data_id`` and routed by a worker-id → datum affinity map
-  (:class:`_AffinityMap`): a datum's chunks follow the worker that
-  loaded it, idle workers steal (ownership moves with the steal), and
-  data-plane byte counters measure what the routing saved.
+  slot), for NumPy-bound collection that needs real cores;
+* ``cluster`` — worker ranks across nodes
+  (:mod:`repro.bench.cluster.engine`).
 
-Serial and thread share the same :class:`LocalityScheduler` and
-retry/failure semantics.  A fourth execution model, the discrete-event
-:class:`~repro.bench.simcluster.SimulatedCluster`, reuses the scheduler
+Every engine is a transport shell around one bookkeeping core,
+:class:`~repro.bench.dispatch.Dispatch`: retries and their backoff,
+quarantine, the isolated ``on_result`` sink, ``QueueStats`` counting,
+datum chunking with affinity routing, the uncharged requeue after a lost
+worker and the crash-loop cap.  Serial and thread keep their own
+exclusion-aware pick over :class:`LocalityScheduler`; the discrete-event
+:class:`~repro.bench.simcluster.SimulatedCluster` reuses that scheduler
 to *measure* placement quality under a virtual clock.
 
 Fault domains supervised (see :mod:`repro.bench.faults`):
@@ -33,15 +35,16 @@ Fault domains supervised (see :mod:`repro.bench.faults`):
 * **hangs** — with ``task_timeout`` set, a watchdog abandons thread
   tasks past their deadline (the result of an abandoned execution is
   discarded if it ever arrives), the process engine recycles the
-  whole pool when a group overruns, since a hung worker process cannot
-  be reclaimed any other way, and the serial engine — which has no
-  second thread to supervise from — preempts the running task with a
-  SIGALRM deadline guard (main thread only);
-* **worker crashes** — a dead worker process breaks the pool; the queue
-  rebuilds the executor, requeues every in-flight group *without*
-  charging the tasks an attempt (the pool, not the task, failed), and
-  caps consecutive no-progress rebuilds so a crash-looping worker fails
-  the run with a diagnosis instead of hanging it.
+  overrunning worker's slot, since a hung worker process cannot be
+  reclaimed any other way, and the serial engine — which has no second
+  thread to supervise from — preempts the running task with a SIGALRM
+  deadline guard (main thread only).  Timed-out tasks retry after the
+  policy's backoff on every engine;
+* **worker crashes** — a dead worker process breaks its slot; the queue
+  rebuilds it, requeues its in-flight tasks *without* charging them an
+  attempt (the pool, not the task, failed), and caps consecutive
+  no-progress rebuilds so a crash-looping worker fails the run with a
+  diagnosis instead of hanging it.
 
 Coordination invariants (thread engine):
 
@@ -68,6 +71,7 @@ from typing import Any, Callable
 
 from ..core.errors import Status, TaskTimeoutError, error_status
 from .cluster.spec import ClusterSpec
+from .dispatch import Dispatch, TaskResult
 from .faults import FaultInjector, RetryPolicy  # noqa: F401 - re-exported
 from .tasks import Task
 
@@ -126,25 +130,6 @@ def _serial_deadline(seconds: float | None, task_key: str):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-
-
-@dataclass
-class TaskResult:
-    """Outcome of one task attempt (success or final failure)."""
-
-    task: Task
-    worker: int
-    payload: dict[str, Any] | None = None
-    error: str | None = None
-    attempts: int = 1
-    #: :class:`~repro.core.errors.Status` code of the final failure
-    #: (``SUCCESS`` when ``ok``); drives retry classification and the
-    #: checkpoint failure ledger.
-    status: int = int(Status.SUCCESS)
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 @dataclass
@@ -310,69 +295,6 @@ class LocalityScheduler:
             self.note_loaded(worker, data_id)
 
 
-class _AffinityMap:
-    """Worker-id → datum ownership for the pinned process engine.
-
-    The process-side analog of :class:`LocalityScheduler`'s ownership
-    claims: every datum is owned by the worker that first loaded it, and
-    dispatch routes that datum's chunks back to the owner.  An idle
-    worker with no owned or unclaimed work *steals* — ownership moves
-    with the steal, so subsequent chunks of the stolen datum follow the
-    thief instead of ping-ponging.
-    """
-
-    def __init__(self) -> None:
-        self.owner: dict[str, int] = {}
-        self.loaded: dict[int, set[str]] = defaultdict(set)
-        self.hits = 0
-        self.misses = 0
-        self.steals = 0
-
-    def pick(self, worker: int, pending: deque[list[Task]]) -> list[Task] | None:
-        """Choose (and remove) the best pending chunk for *worker*."""
-        if not pending:
-            return None
-        unowned = -1
-        for i, chunk in enumerate(pending):
-            did = chunk[0].data_id
-            if self.owner.get(did) == worker:
-                del pending[i]
-                self._account(worker, did, len(chunk))
-                return chunk
-            if unowned < 0 and did not in self.owner:
-                unowned = i
-        if unowned >= 0:
-            chunk = pending[unowned]
-            del pending[unowned]
-            did = chunk[0].data_id
-            self.owner[did] = worker
-            self._account(worker, did, len(chunk))
-            return chunk
-        # Every pending chunk belongs to some busy worker: steal the
-        # oldest rather than idle.  Ownership transfers with the steal.
-        chunk = pending.popleft()
-        did = chunk[0].data_id
-        self.owner[did] = worker
-        self.steals += 1
-        self._account(worker, did, len(chunk))
-        return chunk
-
-    def _account(self, worker: int, data_id: str, n_tasks: int) -> None:
-        # Per-task accounting: the first task on a worker that has not
-        # loaded the datum pays the load (miss); everything after rides
-        # the warm copy (hits).
-        if data_id in self.loaded[worker]:
-            self.hits += n_tasks
-        else:
-            self.misses += 1
-            self.hits += n_tasks - 1
-            self.loaded[worker].add(data_id)
-
-    def forget_worker(self, worker: int) -> None:
-        """The worker's process died: its warm data died with it."""
-        self.loaded.pop(worker, None)
-
-
 class TaskQueue:
     """Run tasks through a callable with retries and locality placement.
 
@@ -382,7 +304,7 @@ class TaskQueue:
         Worker count; 1 forces the serial engine (with a warning when a
         parallel engine was requested — the downgrade used to be silent).
     engine:
-        ``"serial"``, ``"thread"``, or ``"process"``.
+        ``"serial"``, ``"thread"``, ``"process"`` or ``"cluster"``.
     max_retries:
         Additional attempts per task after a *transient* failure.  A
         task that still fails is reported as failed (not raised) so one
@@ -394,15 +316,16 @@ class TaskQueue:
         codes are permanent (quarantined on first failure).
     task_timeout:
         Per-task deadline in seconds.  On the thread engine a watchdog
-        abandons overdue executions; on the process engine an overdue
-        group triggers a pool recycle (hung worker processes are
-        terminated).  ``None`` (default) disables supervision.  The
-        serial engine enforces the deadline in-line with a SIGALRM
-        guard — main thread only; elsewhere it degrades to a no-op with
-        a one-time warning.
+        abandons overdue executions; on the process and cluster engines
+        an overdue chunk recycles its worker (hung worker processes are
+        terminated).  The serial engine enforces the deadline in-line
+        with a SIGALRM guard — main thread only; elsewhere it degrades
+        to a no-op with a one-time warning.  Timed-out tasks retry after
+        the policy's backoff.  ``None`` (default) disables supervision.
     max_pool_rebuilds:
-        Consecutive no-progress pool rebuilds tolerated before the run
-        fails with a diagnosis (process engine only).
+        Consecutive no-progress worker losses (pool rebuilds, rank
+        deaths) tolerated before the run fails with a diagnosis
+        (process and cluster engines).
     chunk_size:
         Process-engine dispatch granularity: tasks per chunk within a
         datum group.  ``None`` (default) dispatches whole groups —
@@ -557,17 +480,14 @@ class TaskQueue:
         *,
         on_result: Callable[[TaskResult], None] | None,
     ) -> tuple[list[TaskResult], QueueStats]:
-        policy = self.retry_policy
         scheduler = LocalityScheduler()
         pending: deque[Task] = deque(tasks)  # never-failed tasks
-        retry_pending: deque[Task] = deque()  # failed ≥1×, awaiting retry
-        attempts: dict[str, int] = defaultdict(int)
+        #: Failed ≥1×, awaiting retry: (task, monotonic not-before time).
+        retry_pending: deque[tuple[Task, float]] = deque()
         excluded: dict[str, set[int]] = defaultdict(set)
-        #: key → monotonic time before which a retry must not run.
-        not_before: dict[str, float] = {}
         in_flight = 0
-        results: list[TaskResult] = []
         stats = QueueStats(engine=self.engine, requested_engine=self.requested_engine)
+        core = Dispatch(self.retry_policy, stats, on_result)
         if self.lock_witness is not None:
             cond = threading.Condition(
                 self.lock_witness.wrap(name="taskqueue.cond")
@@ -584,68 +504,27 @@ class TaskQueue:
         serial_deadline = (
             self.task_timeout if (self.task_timeout is not None and n_workers == 1) else None
         )
-        executing: dict[int, tuple[str, Task, int, float]] = {}
+        executing: dict[int, tuple[Task, int, float]] = {}
         abandoned: set[int] = set()
         exec_counter = [0]
         stop_watchdog = threading.Event()
 
-        def finish(result: TaskResult) -> None:
-            # Called under the lock.
-            if on_result is not None:
-                t0 = time.perf_counter()
-                try:
-                    on_result(result)
-                except Exception as exc:  # noqa: BLE001 - callback isolation
-                    # A failing result sink (e.g. checkpoint write) must
-                    # not kill the worker; record the task as failed so
-                    # a restart recomputes it.
-                    if result.ok:
-                        result = TaskResult(
-                            result.task,
-                            result.worker,
-                            error=f"on_result {type(exc).__name__}: {exc}",
-                            attempts=result.attempts,
-                            status=error_status(exc),
-                        )
-                stats.checkpoint_seconds += time.perf_counter() - t0
-            results.append(result)
-            stats.completed += result.ok
-            stats.failed += not result.ok
-            if result.worker >= 0:
-                stats.per_worker[result.worker] = stats.per_worker.get(result.worker, 0) + 1
-
-        def requeue_or_finish(task: Task, worker: int, error: str, status: int) -> None:
-            # Called under the lock, after attempts[key] was incremented.
-            key = task.key()
-            if policy.should_retry(status, attempts[key]):
-                stats.retries += 1
-                excluded[key].add(worker)
-                delay = policy.delay(key, attempts[key])
-                if delay > 0.0:
-                    not_before[key] = time.monotonic() + delay
-                    stats.backoff_seconds += delay
-                retry_pending.append(task)
-            else:
-                if policy.is_permanent(status):
-                    stats.quarantined += 1
-                finish(
-                    TaskResult(
-                        task, worker, error=error, attempts=attempts[key], status=status
-                    )
-                )
+        def charge_failure(task: Task, worker: int, error: str, status: int) -> None:
+            # Called under the lock.  The core decides; a retry is kept
+            # off the worker it failed on (see take()).
+            delay = core.fail(task, worker, error, status)
+            if delay is not None:
+                excluded[task.key()].add(worker)
+                retry_pending.append((task, time.monotonic() + delay))
 
         def take(worker: int) -> Task | None:
             # Called under the lock.  Retries first so they are not
             # starved behind the virgin queue; the deque is bounded by
             # the number of distinct failures, so this scan stays small.
             now = time.monotonic()
-            for i, task in enumerate(retry_pending):
-                key = task.key()
-                if not_before.get(key, 0.0) > now:
-                    continue
-                if worker not in excluded[key]:
+            for i, (task, ready_at) in enumerate(retry_pending):
+                if ready_at <= now and worker not in excluded[task.key()]:
                     del retry_pending[i]
-                    not_before.pop(key, None)
                     scheduler.note_assigned(worker, task.data_id)
                     return task
             task = scheduler.pick(worker, pending)
@@ -655,12 +534,9 @@ class TaskQueue:
             # off) remain.  Take an excluded one anyway *only* when it
             # has failed on every worker — no live worker could honor
             # the exclusion.
-            for i, task in enumerate(retry_pending):
-                if not_before.get(task.key(), 0.0) > now:
-                    continue
-                if len(excluded[task.key()]) >= n_workers:
+            for i, (task, ready_at) in enumerate(retry_pending):
+                if ready_at <= now and len(excluded[task.key()]) >= n_workers:
                     del retry_pending[i]
-                    not_before.pop(task.key(), None)
                     stats.exclusion_overrides += 1
                     scheduler.note_assigned(worker, task.data_id)
                     return task
@@ -670,11 +546,7 @@ class TaskQueue:
             # Called under the lock: the soonest a delayed retry becomes
             # runnable, so a waiting worker wakes in time to take it.
             now = time.monotonic()
-            bounds = [
-                not_before[t.key()] - now
-                for t in retry_pending
-                if not_before.get(t.key(), 0.0) > now
-            ]
+            bounds = [ready_at - now for _, ready_at in retry_pending if ready_at > now]
             return max(min(bounds), 1e-4) if bounds else None
 
         def worker_loop(worker: int) -> None:
@@ -688,9 +560,7 @@ class TaskQueue:
                             exec_counter[0] += 1
                             exec_id = exec_counter[0]
                             if use_watchdog:
-                                executing[exec_id] = (
-                                    task.key(), task, worker, time.monotonic()
-                                )
+                                executing[exec_id] = (task, worker, time.monotonic())
                             break
                         if not pending and not retry_pending and in_flight == 0:
                             # Genuinely drained: nothing queued and no
@@ -726,15 +596,10 @@ class TaskQueue:
                         continue
                     executing.pop(exec_id, None)
                     in_flight -= 1
-                    attempts[key] += 1
                     if error is not None:
-                        requeue_or_finish(task, worker, error, status)
+                        charge_failure(task, worker, error, status)
                     else:
-                        finish(
-                            TaskResult(
-                                task, worker, payload=payload, attempts=attempts[key]
-                            )
-                        )
+                        core.succeed(task, worker, payload)
                     cond.notify_all()
 
         def watchdog_loop() -> None:
@@ -744,7 +609,7 @@ class TaskQueue:
             while not stop_watchdog.wait(poll):
                 with cond:
                     now = time.monotonic()
-                    for exec_id, (key, task, worker, t0) in list(executing.items()):
+                    for exec_id, (task, worker, t0) in list(executing.items()):
                         if now - t0 <= deadline:
                             continue
                         # Abandon: the hung thread cannot be killed, but
@@ -754,8 +619,7 @@ class TaskQueue:
                         abandoned.add(exec_id)
                         in_flight -= 1
                         stats.timeouts += 1
-                        attempts[key] += 1
-                        requeue_or_finish(
+                        charge_failure(
                             task,
                             worker,
                             f"TaskTimeoutError: task exceeded {deadline:g}s deadline",
@@ -793,7 +657,7 @@ class TaskQueue:
                     t.join()
         stats.locality_hits = scheduler.stats_hits
         stats.locality_misses = scheduler.stats_misses
-        return results, stats
+        return core.results, stats
 
     # -- process engine ----------------------------------------------------------
     def _run_process(
@@ -806,28 +670,19 @@ class TaskQueue:
     ) -> tuple[list[TaskResult], QueueStats]:
         """Fan tasks out to *pinned* worker processes with datum affinity.
 
-        Each worker slot is its own single-process executor, so "worker
-        ``w``" names one long-lived OS process — the control a shared
-        pool denies.  Work is dispatched in chunks (``chunk_size`` tasks
-        of one datum; whole groups by default) routed by an
-        :class:`_AffinityMap`: a chunk goes to the worker that owns its
-        datum, an unclaimed datum is claimed by the first free worker,
-        and a worker with nothing of its own *steals* — ownership moving
-        with the steal — rather than idle.  Workers holding a warm datum
-        (OS page cache, shared-memory attach, or in-process cache) serve
-        every later chunk of it without another copy; the shipped-back
-        data-plane deltas in each outcome make the saving measurable.
+        A transport shell around :class:`~repro.bench.dispatch.Dispatch`,
+        which owns chunking, affinity routing, retries and the crash-loop
+        cap.  Each worker slot is its own single-process executor, so
+        "worker ``w``" names one long-lived OS process whose warm data
+        (page cache, shared-memory attach, in-process cache) later chunks
+        of its datum reuse; the shipped-back data-plane deltas make the
+        saving measurable.  Results stream back to the parent, which owns
+        the ``on_result`` sink (so e.g. SQLite sees a single writer).
 
-        Results stream back to the parent, which owns retries and the
-        ``on_result`` sink (so e.g. SQLite sees a single writer).
-
-        Pool-level faults (a worker process dying, its executor breaking)
-        are *not* charged to tasks: the slot's in-flight chunk is
-        requeued as-is, only that slot is rebuilt (the other workers
-        keep their warm state), and only consecutive rebuilds without
-        any completed chunk count toward ``max_pool_rebuilds`` —
-        exceeding it fails the remaining tasks with a diagnosis instead
-        of crash-looping or hanging.
+        What stays here is the pool: make/kill, ``BrokenProcessPool``
+        detection, and recycling a slot whose chunk overran its
+        deadline.  A broken slot's chunk is requeued uncharged and only
+        that slot is rebuilt; the other workers keep their warm state.
 
         ``worker_init`` (and ``task_fn`` when used directly) must be
         picklable; bound methods carrying open handles are not — pass a
@@ -837,65 +692,13 @@ class TaskQueue:
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        policy = self.retry_policy
         stats = QueueStats(engine="process", requested_engine=self.requested_engine)
-        results: list[TaskResult] = []
+        core = Dispatch(self.retry_policy, stats, on_result, max_lost=self.max_pool_rebuilds)
         if not tasks:
-            return results, stats
-        attempts: dict[str, int] = defaultdict(int)
-
-        def finish(result: TaskResult) -> None:
-            if on_result is not None:
-                t0 = time.perf_counter()
-                try:
-                    on_result(result)
-                except Exception as exc:  # noqa: BLE001 - callback isolation
-                    if result.ok:
-                        result = TaskResult(
-                            result.task,
-                            result.worker,
-                            error=f"on_result {type(exc).__name__}: {exc}",
-                            attempts=result.attempts,
-                            status=error_status(exc),
-                        )
-                stats.checkpoint_seconds += time.perf_counter() - t0
-            results.append(result)
-            stats.completed += result.ok
-            stats.failed += not result.ok
-            if result.worker >= 0:
-                stats.per_worker[result.worker] = stats.per_worker.get(result.worker, 0) + 1
-
-        # Group by datum, then cut groups into dispatch chunks.  With the
-        # default chunk_size=None a datum is one chunk (max batching);
-        # smaller chunks interleave datums across time and exercise the
-        # affinity map's routing.
-        groups: dict[str, list[Task]] = {}
-        for task in tasks:
-            groups.setdefault(task.data_id, []).append(task)
-        pending_chunks: deque[list[Task]] = deque()
-        for group in groups.values():
-            if self.chunk_size is None:
-                pending_chunks.append(group)
-            else:
-                for i in range(0, len(group), self.chunk_size):
-                    pending_chunks.append(group[i : i + self.chunk_size])
-
-        affinity = _AffinityMap()
+            return core.results, stats
+        core.load(tasks, self.chunk_size)
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork") if "fork" in methods else mp.get_context()
-
-        class _Slot:
-            __slots__ = ("wid", "pool", "fut", "chunk", "perf_submitted",
-                         "submitted", "broken")
-
-            def __init__(self, wid: int) -> None:
-                self.wid = wid
-                self.pool: ProcessPoolExecutor | None = None
-                self.fut = None
-                self.chunk: list[Task] | None = None
-                self.perf_submitted = 0.0
-                self.submitted = 0.0
-                self.broken = False
 
         def make_pool(wid: int) -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
@@ -925,239 +728,92 @@ class TaskQueue:
                 except Exception:  # noqa: BLE001 - teardown best-effort
                     pass
 
-        slots = [_Slot(wid) for wid in range(self.n_workers)]
-        delayed: list[tuple[float, list[Task]]] = []
-        last_pool_error = "unknown"
-        rebuilds_without_progress = 0
-        aborted = False
-
-        def fail_remaining(diagnosis: str) -> None:
-            # Pull in-flight chunks too: an aborted campaign must report
-            # every task exactly once.
-            for slot in slots:
-                if slot.fut is not None:
-                    pending_chunks.append(slot.chunk)
-                    slot.fut = None
-                    slot.chunk = None
-                    slot.broken = True
-            for _, chunk in delayed:
-                pending_chunks.append(chunk)
-            delayed.clear()
-            while pending_chunks:
-                chunk = pending_chunks.popleft()
-                for task in chunk:
-                    finish(
-                        TaskResult(
-                            task,
-                            -1,
-                            error=diagnosis,
-                            attempts=max(attempts[task.key()], 1),
-                            status=int(Status.TASK_FAILED),
-                        )
-                    )
-
-        def charge_outcomes(slot: _Slot, chunk: list[Task], outcomes) -> None:
-            exec_total = 0.0
-            wall = time.perf_counter() - slot.perf_submitted
-            for task, (wid, payload, error, status, exec_s) in zip(chunk, outcomes):
-                exec_total += exec_s
-                stats.execute_seconds += exec_s
-                key = task.key()
-                attempts[key] += 1
-                if error is None:
-                    finish(
-                        TaskResult(task, wid, payload=payload, attempts=attempts[key])
-                    )
-                elif policy.should_retry(status, attempts[key]):
-                    stats.retries += 1
-                    # Resubmitted as a single-task chunk; the affinity
-                    # map routes it back to the datum's owner, so the
-                    # retry usually lands on a warm worker.
-                    delay = policy.delay(key, attempts[key])
-                    if delay > 0.0:
-                        stats.backoff_seconds += delay
-                        delayed.append((time.monotonic() + delay, [task]))
-                    else:
-                        pending_chunks.append([task])
-                else:
-                    if policy.is_permanent(status):
-                        stats.quarantined += 1
-                    finish(
-                        TaskResult(
-                            task, wid, error=error,
-                            attempts=attempts[key], status=status,
-                        )
-                    )
-            # Queue wait: turnaround the chunk spent outside its own
-            # execution (slot backlog + transfer).
-            stats.queue_wait_seconds += max(wall - exec_total, 0.0)
-
+        pools: dict[int, ProcessPoolExecutor] = {}
+        futs: dict[int, Any] = {}  # worker id → its running chunk's future
+        broken: dict[int, str] = {}  # worker id → cause, recycled next round
         try:
-            while not aborted:
-                now = time.monotonic()
-                if delayed:
-                    still_delayed = []
-                    for ready_at, chunk in delayed:
-                        if ready_at <= now:
-                            pending_chunks.append(chunk)
-                        else:
-                            still_delayed.append((ready_at, chunk))
-                    delayed = still_delayed
-
-                # Recycle broken slots (crash or hang): requeue their
-                # chunk uncharged, drop their warm-data claims, rebuild
-                # lazily.  Only consecutive no-progress rebuilds count
-                # toward the crash-loop cap.
-                for slot in slots:
-                    if not slot.broken:
-                        continue
-                    if slot.pool is not None:
-                        kill_pool(slot.pool)
-                        slot.pool = None
-                    if slot.chunk is not None:
-                        pending_chunks.append(slot.chunk)
-                    slot.fut = None
-                    slot.chunk = None
-                    slot.broken = False
-                    affinity.forget_worker(slot.wid)
+            while not core.aborted:
+                # Recycle broken workers (crash or hang): kill the pool,
+                # let the core requeue the chunk uncharged, rebuild lazily.
+                for wid in sorted(broken):
+                    pool = pools.pop(wid, None)
+                    if pool is not None:
+                        kill_pool(pool)
                     stats.pool_rebuilds += 1
-                    rebuilds_without_progress += 1
-                    if rebuilds_without_progress > self.max_pool_rebuilds:
-                        fail_remaining(
-                            "TaskFailedError: worker processes failed "
-                            f"{rebuilds_without_progress} consecutive times without "
-                            f"completing any task (last: {last_pool_error}); "
-                            "a worker is crash-looping — aborting the campaign"
-                        )
-                        aborted = True
+                    if not core.worker_lost(wid, broken.pop(wid)):
                         break
-                if aborted:
+                if core.aborted:
                     break
 
-                # Dispatch: every free slot takes its best-affinity chunk.
-                for slot in slots:
-                    if slot.fut is not None or not pending_chunks:
+                # Dispatch: every free worker takes its best-affinity chunk.
+                for wid in range(self.n_workers):
+                    if wid in futs:
                         continue
-                    chunk = affinity.pick(slot.wid, pending_chunks)
+                    chunk = core.pick(wid)
                     if chunk is None:
                         continue
-                    if slot.pool is None:
-                        slot.pool = make_pool(slot.wid)
+                    if wid not in pools:
+                        pools[wid] = make_pool(wid)
                     try:
-                        fut = slot.pool.submit(_process_run_chunk, chunk)
+                        futs[wid] = pools[wid].submit(_process_run_chunk, chunk)
                     except Exception as exc:  # noqa: BLE001 - broken/shut pool
-                        last_pool_error = f"{type(exc).__name__}: {exc}"
-                        slot.chunk = chunk
-                        slot.broken = True
-                        continue
-                    slot.fut = fut
-                    slot.chunk = chunk
-                    slot.perf_submitted = time.perf_counter()
-                    slot.submitted = time.monotonic()
-                if any(slot.broken for slot in slots):
+                        broken[wid] = f"{type(exc).__name__}: {exc}"
+                if broken:
                     continue
 
-                futmap = {slot.fut: slot for slot in slots if slot.fut is not None}
-                if not futmap:
-                    if delayed:
-                        next_ready = min(ready_at for ready_at, _ in delayed)
-                        time.sleep(max(next_ready - time.monotonic(), 0.0) + 1e-4)
-                        continue
-                    if not pending_chunks:
-                        break  # drained
+                if not futs:
+                    if core.drained:
+                        break
+                    # Every free worker is idle: only backed-off retries remain.
+                    time.sleep((core.next_ready_in() or 0.0) + 1e-4)
                     continue
 
-                bound = 0.1 if (self.task_timeout is not None or delayed) else None
-                done, _ = wait(list(futmap), timeout=bound, return_when=FIRST_COMPLETED)
-
-                progressed = False
+                bound = 0.1 if (self.task_timeout is not None or core.delayed) else None
+                by_fut = {fut: wid for wid, fut in futs.items()}
+                done, _ = wait(list(by_fut), timeout=bound, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    slot = futmap[fut]
-                    chunk = slot.chunk
-                    slot.fut = None
-                    slot.chunk = None
+                    wid = by_fut[fut]
+                    del futs[wid]
                     try:
                         outcomes, plane_delta = fut.result()
                     except BrokenProcessPool as exc:
-                        # Slot-level fault: the chunk never reported, so
-                        # its tasks are not charged an attempt — they
-                        # rerun wholesale once the slot is rebuilt.
-                        last_pool_error = f"{type(exc).__name__}: {exc}"
-                        slot.chunk = chunk
-                        slot.broken = True
+                        # Worker-level fault: the chunk never reported,
+                        # so its tasks rerun uncharged once it is rebuilt.
+                        broken[wid] = f"{type(exc).__name__}: {exc}"
                         continue
                     except Exception as exc:  # noqa: BLE001 - chunk-level fault
                         # Attributable to the chunk itself (e.g. an
                         # unpicklable payload): charge the tasks.
+                        error = f"{type(exc).__name__}: {exc}"
                         outcomes = [
-                            (slot.wid, None, f"{type(exc).__name__}: {exc}",
-                             int(Status.TASK_FAILED), 0.0)
-                            for _ in chunk
-                        ]
+                            (wid, None, error, int(Status.TASK_FAILED), 0.0)
+                        ] * len(core.in_flight[wid][0])
                         plane_delta = {}
-                    progressed = True
                     stats.bytes_copied += plane_delta.get("bytes_copied", 0)
                     stats.bytes_mapped += plane_delta.get("bytes_mapped", 0)
-                    charge_outcomes(slot, chunk, outcomes)
-                if progressed:
-                    rebuilds_without_progress = 0
+                    core.chunk_done(wid, outcomes)
 
                 if self.task_timeout is not None:
-                    # Hang detection: a chunk gets one deadline per task
-                    # plus one of startup grace; an overrun means a hung
-                    # worker process, reclaimable only by recycling that
-                    # slot (terminate + rebuild + requeue).
-                    now = time.monotonic()
-                    for slot in slots:
-                        if slot.fut is None or slot.broken:
+                    # A hung worker process is reclaimable only by
+                    # recycling its slot (terminate + rebuild + requeue).
+                    for wid in core.overdue(self.task_timeout):
+                        if wid in broken:
                             continue
-                        chunk = slot.chunk
-                        if now - slot.submitted <= self.task_timeout * (len(chunk) + 1):
-                            continue
-                        retry_chunk: list[Task] = []
-                        for task in chunk:
-                            key = task.key()
-                            attempts[key] += 1
-                            stats.timeouts += 1
-                            if policy.should_retry(int(Status.TIMEOUT), attempts[key]):
-                                stats.retries += 1
-                                retry_chunk.append(task)
-                            else:
-                                finish(
-                                    TaskResult(
-                                        task,
-                                        -1,
-                                        error=(
-                                            "TaskTimeoutError: chunk exceeded "
-                                            f"{self.task_timeout:g}s/task deadline"
-                                        ),
-                                        attempts=attempts[key],
-                                        status=int(Status.TIMEOUT),
-                                    )
-                                )
-                        if retry_chunk:
-                            pending_chunks.append(retry_chunk)
-                        last_pool_error = "hung worker process (deadline exceeded)"
-                        slot.fut = None
-                        slot.chunk = None  # already charged above
-                        slot.broken = True
-            stats.affinity_hits = affinity.hits
-            stats.affinity_misses = affinity.misses
-            stats.affinity_steals = affinity.steals
-            # Mirror into the locality counters so --queue-stats output
-            # is comparable across engines (hit = served from a warm
-            # worker, miss = a load somewhere paid for it).
-            stats.locality_hits = affinity.hits
-            stats.locality_misses = affinity.misses
+                        core.chunk_timed_out(
+                            wid,
+                            "TaskTimeoutError: chunk exceeded "
+                            f"{self.task_timeout:g}s/task deadline",
+                        )
+                        del futs[wid]
+                        broken[wid] = "hung worker process (deadline exceeded)"
+            core.export_affinity()
         finally:
-            for slot in slots:
-                if slot.pool is None:
-                    continue
-                if slot.broken or slot.fut is not None:
-                    kill_pool(slot.pool)
+            for wid, pool in pools.items():
+                if wid in broken or wid in futs:
+                    kill_pool(pool)
                 else:
-                    slot.pool.shutdown(wait=True)
-        return results, stats
+                    pool.shutdown(wait=True)
+        return core.results, stats
 
 
 # -- process-engine worker side (module level: must be picklable) --------------

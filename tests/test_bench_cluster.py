@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import time
 from collections import deque
 
 import pytest
@@ -46,6 +47,13 @@ def make_tasks(n_data=2, per_data=2):
 def _echo_task(task, worker):
     """Module-level so spawned worker ranks can unpickle it."""
     return {"data_id": task.data_id, "bound": task.compressor_options["pressio:abs"]}
+
+
+def _busy_20ms(task, worker):
+    end = time.perf_counter() + 0.02
+    while time.perf_counter() < end:
+        pass
+    return {"ok": 1}
 
 
 def _fail_on_data0(task, worker):
@@ -260,6 +268,15 @@ class TestTcpSpawnEndToEnd:
         assert sorted(store.keys()) == sorted(t.key() for t in tasks)
         assert store.verify() == []
         store.close()
+
+    def test_execute_seconds_counted_once(self, tmp_path):
+        """Each task's execution time is charged once, from its outcome;
+        the ranks' bye stats stay in their shard meta."""
+        tasks = make_tasks(4, 10)
+        spec = ClusterSpec(shard_dir=str(tmp_path / "shards"))
+        _, stats = TaskQueue(2, "cluster", cluster=spec).run(tasks, _busy_20ms)
+        assert stats.completed == 40 and stats.failed == 0
+        assert 0.8 <= stats.execute_seconds <= 1.2, stats.execute_seconds
 
     def test_failures_travel_with_rank_origin(self, tmp_path):
         tasks = make_tasks(2, 1)

@@ -75,6 +75,11 @@ class TestRetryPolicy:
         assert 0.0 <= v < 1.0
 
 
+def _ok_task(task, worker):
+    """Module-level so the process engine can pickle it."""
+    return {"ok": 1}
+
+
 class TestQueuePolicyIntegration:
     def test_permanent_error_quarantined_first_attempt(self):
         tasks = make_tasks(n_data=1, per_data=2)
@@ -108,6 +113,22 @@ class TestQueuePolicyIntegration:
         assert stats.backoff_seconds == pytest.approx(0.1)
         gaps = [b - a for a, b in zip(attempts_t, attempts_t[1:])]
         assert all(g >= 0.045 for g in gaps), gaps
+
+    def test_process_timeout_retries_back_off(self, tmp_path):
+        """A timed-out task retries after the policy's backoff on the
+        process engine too, not immediately."""
+        tasks = make_tasks(n_data=2, per_data=1)
+        plan = ChaosPlan(hang_rate=1.0, hang_seconds=30.0, state_dir=str(tmp_path))
+        policy = RetryPolicy(max_retries=2, base_delay=0.05)
+        t0 = time.monotonic()
+        results, stats = TaskQueue(
+            2, "process", retry_policy=policy, task_timeout=0.3
+        ).run(tasks, plan.bind(_ok_task))
+        assert time.monotonic() - t0 < 20  # did not wait out the hangs
+        assert stats.timeouts == len(tasks)
+        assert stats.backoff_seconds > 0
+        assert sorted(r.task.key() for r in results) == sorted(t.key() for t in tasks)
+        assert stats.failed == 0 and all(r.attempts == 2 for r in results)
 
     def test_custom_permanent_statuses(self):
         tasks = make_tasks(n_data=1, per_data=1)

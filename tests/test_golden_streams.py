@@ -10,13 +10,14 @@ LZ77 payload shape:
    models see the same stage sizes);
 2. **exact decode** — the frozen bytes decode to the same values the
    current pipeline produces, within the promised error bound;
-3. **reference equivalence** — the retired byte-at-a-time LZ77 loops
-   (kept as ``*_ref``) and the vectorized kernels agree on both
-   directions, for both well-formed and corrupt streams.
+3. **reference equivalence** — the retired byte-at-a-time LZ77 encoder
+   (kept as ``_lz77_compress_ref``) and the vectorized encoder agree, and
+   corrupt streams decode to pinned outcomes (error strings included).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
@@ -30,11 +31,23 @@ from repro.encoding.lz import (
     _lz77_compress,
     _lz77_compress_ref,
     _lz77_decompress,
-    _lz77_decompress_ref,
     lossless_compress,
     lossless_decompress,
 )
 from tests import golden_kernels as gk
+
+
+#: Digest of the decoder's outcome (output bytes or error string) over
+#: each payload's seeded corrupt cases, recorded when the token-loop
+#: decoder was still checked against a second, independent decoder.
+_LZ77_CORRUPT_OUTCOMES = {
+    "motif": "d5be3a6c252cce28",
+    "periodic": "0c161d60234378d2",
+    "random": "4b9428acf608bc3d",
+    "residuals": "5e305fb20f83a167",
+    "runs": "62cdbfc2831daa5e",
+    "tiny": "f452b33081c329d0",
+}
 
 
 def _fixture(name: str) -> bytes:
@@ -86,14 +99,17 @@ class TestGoldenLZ77Streams:
         )
 
     def test_both_decoders_roundtrip_frozen_tokens(self, name):
+        """The token decoder and the wrapped `lossless_decompress` path."""
         payload = gk.golden_lz_payloads()[name]
         frozen = _fixture(f"lz77_tokens_{name}.bin")
         assert _lz77_decompress(frozen, len(payload)) == payload
-        assert _lz77_decompress_ref(frozen, len(payload)) == payload
         assert lossless_decompress(_fixture(f"lz77_stream_{name}.bin")) == payload
 
     def test_decoders_agree_on_corrupt_streams(self, name):
-        """Truncations and bit flips produce the same error (or output)."""
+        """Truncations and bit flips produce the pinned error (or output).
+
+        Callers (checkpoint quarantine, the failure ledger) see exactly
+        these strings, so they are pinned, not just their type."""
         payload = gk.golden_lz_payloads()[name]
         frozen = _fixture(f"lz77_tokens_{name}.bin")
         if len(frozen) < 4:
@@ -104,14 +120,14 @@ class TestGoldenLZ77Streams:
             flipped = bytearray(frozen)
             flipped[int(rng.integers(0, len(flipped)))] ^= 1 << int(rng.integers(0, 8))
             cases.append(bytes(flipped))
+        digest = hashlib.sha256()
         for stream in cases:
-            res = []
-            for decoder in (_lz77_decompress_ref, _lz77_decompress):
-                try:
-                    res.append(("ok", decoder(stream, len(payload))))
-                except CorruptStreamError as exc:
-                    res.append(("err", str(exc)))
-            assert res[0] == res[1]
+            try:
+                outcome = b"ok:" + _lz77_decompress(stream, len(payload))
+            except CorruptStreamError as exc:
+                outcome = b"err:" + str(exc).encode()
+            digest.update(hashlib.sha256(outcome).digest())
+        assert digest.hexdigest()[:16] == _LZ77_CORRUPT_OUTCOMES[name]
 
 
 class TestGoldenHuffman:

@@ -24,7 +24,6 @@ from repro.encoding.lz import (
     _lz77_compress,
     _lz77_compress_ref,
     _lz77_decompress,
-    _lz77_decompress_ref,
     lossless_compress,
     lossless_decompress,
 )
@@ -158,7 +157,6 @@ class TestLZ77WindowEdge:
         assert stream == _lz77_compress_ref(payload)
         assert b"\x01\x00\x00" not in stream  # no wrapped-distance token
         assert _lz77_decompress(stream, len(payload)) == payload
-        assert _lz77_decompress_ref(stream, len(payload)) == payload
 
 
 def _scatter_loop_tables(code: huffman.HuffmanCode) -> tuple[np.ndarray, np.ndarray]:
@@ -237,4 +235,3 @@ class TestVectorizedReferenceEquivalence:
         stream = _lz77_compress(payload)
         assert stream == _lz77_compress_ref(payload)
         assert _lz77_decompress(stream, len(payload)) == payload
-        assert _lz77_decompress_ref(stream, len(payload)) == payload

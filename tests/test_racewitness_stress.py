@@ -22,6 +22,7 @@ artifact by the sanitizer job).
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -145,6 +146,22 @@ class TestDeliberateRace:
         assert witness.report()["variables"]["counter.total"]["lockset"] == [
             "counter.lock"
         ]
+
+    def test_threads_run_back_to_back_stay_distinct(self):
+        """CPython reuses a thread's ident once it exits: short threads
+        run one after another must still count as different threads."""
+        witness = LocksetWitness()
+        counter = RacyCounter(witness.wrap(name="counter.lock"))
+        witness.instrument(counter, name="counter")
+        for _ in range(4):
+            t = threading.Thread(target=counter.add_locked, args=(1,))
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive()
+            time.sleep(0.02)  # let the exited thread's ident be recycled
+        state = witness.report()["variables"]["counter.total"]
+        assert state["state"] == "shared-modified"
+        assert state["lockset"] == ["counter.lock"]
 
     def test_check_on_access_raises_at_the_racy_site(self):
         witness = LocksetWitness(check_on_access=True)
