@@ -13,7 +13,7 @@ from .report import format_table2, harness_lines, rows_to_records
 from .runner import CollectionResult, ExperimentRunner, StageStat, Table2Row
 from .simcluster import SimReport, SimulatedCluster, scaling_sweep
 from .tasks import Task, precompute_keys
-from .taskqueue import LocalityScheduler, QueueStats, TaskQueue, TaskResult
+from .taskqueue import QueueStats, TaskQueue, TaskResult
 
 __all__ = [
     "CHAOS_CLASSES",
@@ -22,7 +22,6 @@ __all__ = [
     "CollectionResult",
     "ExperimentRunner",
     "FaultInjector",
-    "LocalityScheduler",
     "QueueStats",
     "RetryPolicy",
     "SimReport",

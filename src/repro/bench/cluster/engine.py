@@ -227,7 +227,7 @@ def run_cluster(
             for rank in sorted(ready):
                 if rank in core.in_flight:
                     continue
-                chunk = core.pick(rank)
+                chunk = core.pick(rank, len(ready))
                 if chunk is None:
                     continue
                 try:

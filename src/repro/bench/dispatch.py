@@ -1,30 +1,42 @@
 """The dispatch core every execution engine shares.
 
-The serial/thread, process and cluster engines differ in *transport* —
-how a task reaches a worker and how a dead worker is noticed — not in
-*bookkeeping*.  :class:`Dispatch` owns all of the bookkeeping as pure
-state driven by events, with no I/O (the clock is injectable):
+The serial, thread, process and cluster engines differ in *transport* —
+how a task reaches a worker and how a dead or hung worker is noticed —
+not in *bookkeeping*.  :class:`Dispatch` owns all of the bookkeeping as
+pure state driven by events, with no I/O (the clock is injectable):
 
 * a worker is idle (:meth:`~Dispatch.pick`) → its next chunk, by datum
-  affinity;
+  affinity, kept off workers the chunk's tasks failed on;
 * a chunk reported (:meth:`~Dispatch.chunk_done`) → per task: finish,
   retry at time *t*, or quarantine;
-* a chunk overran its deadline (:meth:`~Dispatch.chunk_timed_out`) →
-  retry at time *t* (the policy's backoff), or finish;
+* a chunk overran its deadline (:meth:`~Dispatch.overdue`,
+  :meth:`~Dispatch.chunk_timed_out`) → retry at time *t* (the policy's
+  backoff), or finish;
 * a worker was lost (:meth:`~Dispatch.worker_lost`) → uncharged
   requeue, or abort with a crash-loop diagnosis.
 
 It owns per-key ``attempts``, the :class:`RetryPolicy` classification
-and the delayed-retry heap, the isolated ``on_result`` sink and the
-:class:`QueueStats` counting, ``data_id`` grouping into ``chunk_size``
-chunks with the :class:`_AffinityMap`, and the ``max_pool_rebuilds``
-crash-loop cap.  The thread engine uses only the task-level half
-(:meth:`succeed`, :meth:`fail`, :meth:`finish`) under its own condition
-variable; its exclusion-aware pick stays with it.
+and the delayed-retry heap, failed-worker exclusion, the isolated
+``on_result`` sink and the :class:`QueueStats` counting, ``data_id``
+grouping into chunks with the :class:`_AffinityMap`, in-flight tracking
+with the shared deadline rule, and the ``max_pool_rebuilds`` crash-loop
+cap.  Not thread-safe: the thread engine calls it under its own
+condition variable.
 
-Requeue granularity is one task per chunk after every failure, timeout
-or lost worker: a single completed task then resets the crash-loop
-counter even while the original chunk keeps finding new ways to die.
+Coordination invariants (every engine):
+
+* every task is reported exactly once — finished, quarantined, or
+  failed by an abort — and ``drained`` holds only when nothing is
+  pending, backing off, or in flight, so no engine stops while a task
+  that could still fail and need a retry is out on a worker;
+* a retry is kept off every worker it failed on until it has failed on
+  as many workers as are live (the engine passes that count to
+  :meth:`~Dispatch.pick`); only then may a worker it failed on take it,
+  and each such override is counted in ``exclusion_overrides``;
+* a chunk is overdue once it has run one ``task_timeout`` per task plus
+  one of grace; a lost worker's chunk reruns uncharged, one task per
+  chunk, so a single completed task resets the crash-loop counter even
+  while the original chunk keeps finding new ways to die.
 """
 
 from __future__ import annotations
@@ -65,14 +77,16 @@ class TaskResult:
 
 
 class _AffinityMap:
-    """Worker-id → datum ownership for the chunked engines.
+    """Worker-id → datum ownership: the paper's locality rule.
 
-    The chunk-level analog of :class:`~repro.bench.taskqueue.
-    LocalityScheduler`'s ownership claims: every datum is owned by the
-    worker that first loaded it, and dispatch routes that datum's chunks
-    back to the owner.  An idle worker with no owned or unclaimed work
-    *steals* — ownership moves with the steal, so subsequent chunks of
-    the stolen datum follow the thief instead of ping-ponging.
+    Every datum is owned by the worker that first loaded it, and
+    dispatch routes that datum's chunks back to the owner.  A worker
+    with no owned work claims an *unowned* datum — without this, N
+    workers pulling from a FIFO of N-task-per-datum batches scatter
+    every datum across every worker and locality drops to zero exactly
+    when it matters most.  A worker with neither *steals* the oldest
+    chunk — ownership moves with the steal, so subsequent chunks of the
+    stolen datum follow the thief instead of ping-ponging.
     """
 
     def __init__(self) -> None:
@@ -82,45 +96,51 @@ class _AffinityMap:
         self.misses = 0
         self.steals = 0
 
-    def pick(self, worker: int, pending: deque[list[Task]]) -> list[Task] | None:
-        """Choose (and remove) the best pending chunk for *worker*."""
-        if not pending:
-            return None
-        unowned = -1
+    def pick(
+        self,
+        worker: int,
+        pending: deque[list[Task]],
+        allowed: Callable[[list[Task]], bool] | None = None,
+    ) -> list[Task] | None:
+        """Choose (and remove) the best pending chunk for *worker*.
+
+        Chunks failing *allowed* are skipped as if they were not there.
+        """
+        unowned = oldest = -1
         for i, chunk in enumerate(pending):
-            did = chunk[0].data_id
-            if self.owner.get(did) == worker:
-                del pending[i]
-                self._account(worker, did, len(chunk))
-                return chunk
-            if unowned < 0 and did not in self.owner:
+            if allowed is not None and not allowed(chunk):
+                continue
+            owner = self.owner.get(chunk[0].data_id)
+            if owner == worker:
+                return self._take(worker, pending, i)
+            if unowned < 0 and owner is None:
                 unowned = i
+            if oldest < 0:
+                oldest = i
         if unowned >= 0:
-            chunk = pending[unowned]
-            del pending[unowned]
-            did = chunk[0].data_id
-            self.owner[did] = worker
-            self._account(worker, did, len(chunk))
-            return chunk
-        # Every pending chunk belongs to some busy worker: steal the
-        # oldest rather than idle.  Ownership transfers with the steal.
-        chunk = pending.popleft()
+            return self._take(worker, pending, unowned)
+        if oldest < 0:
+            return None
+        # Every allowed chunk belongs to some busy worker: steal the
+        # oldest rather than idle.
+        self.steals += 1
+        return self._take(worker, pending, oldest)
+
+    def _take(self, worker: int, pending: deque[list[Task]], i: int) -> list[Task]:
+        chunk = pending[i]
+        del pending[i]
         did = chunk[0].data_id
         self.owner[did] = worker
-        self.steals += 1
-        self._account(worker, did, len(chunk))
-        return chunk
-
-    def _account(self, worker: int, data_id: str, n_tasks: int) -> None:
         # Per-task accounting: the first task on a worker that has not
         # loaded the datum pays the load (miss); everything after rides
         # the warm copy (hits).
-        if data_id in self.loaded[worker]:
-            self.hits += n_tasks
+        if did in self.loaded[worker]:
+            self.hits += len(chunk)
         else:
             self.misses += 1
-            self.hits += n_tasks - 1
-            self.loaded[worker].add(data_id)
+            self.hits += len(chunk) - 1
+            self.loaded[worker].add(did)
+        return chunk
 
     def forget_worker(self, worker: int) -> None:
         """The worker's process died: its warm data died with it."""
@@ -128,11 +148,11 @@ class _AffinityMap:
 
 
 class Dispatch:
-    """Retry, quarantine, sink, chunking and crash-loop bookkeeping.
+    """Retry, exclusion, quarantine, sink, chunking and crash-loop
+    bookkeeping.
 
     *stats* is the run's :class:`~repro.bench.taskqueue.QueueStats`;
-    every counter the core owns is written there as it happens.  Not
-    thread-safe: the thread engine calls it under its own lock.
+    every counter the core owns is written there as it happens.
     """
 
     def __init__(
@@ -151,6 +171,8 @@ class Dispatch:
         self.clock = clock
         self.results: list[TaskResult] = []
         self.attempts: dict[str, int] = defaultdict(int)
+        #: key → workers the task has failed on (a retry stays off them).
+        self.excluded: dict[str, set[int]] = defaultdict(set)
         self.pending: deque[list[Task]] = deque()
         #: Heap of ``(ready_at, seq, chunk)`` retries still backing off.
         self.delayed: list[tuple[float, int, list[Task]]] = []
@@ -161,7 +183,6 @@ class Dispatch:
         self.lost_without_progress = 0
         self.aborted = False
 
-    # -- task level (every engine) -----------------------------------------------
     def finish(self, result: TaskResult) -> None:
         """Report *result* once: through the sink, into results and stats."""
         if self.on_result is not None:
@@ -187,31 +208,6 @@ class Dispatch:
         if result.worker >= 0:
             self.stats.per_worker[result.worker] = self.stats.per_worker.get(result.worker, 0) + 1
 
-    def succeed(self, task: Task, worker: int, payload: dict[str, Any] | None) -> None:
-        self.attempts[task.key()] += 1
-        self.finish(TaskResult(task, worker, payload=payload, attempts=self.attempts[task.key()]))
-
-    def fail(self, task: Task, worker: int, error: str, status: int) -> float | None:
-        """Charge one failed attempt.
-
-        Returns the backoff delay (seconds) before the retry may run, or
-        ``None`` when the task is finished — retries exhausted, or a
-        permanent status quarantined on its first failure.
-        """
-        key = task.key()
-        self.attempts[key] += 1
-        attempts = self.attempts[key]
-        if self.policy.should_retry(status, attempts):
-            self.stats.retries += 1
-            delay = self.policy.delay(key, attempts)
-            self.stats.backoff_seconds += delay
-            return delay
-        if self.policy.is_permanent(status):
-            self.stats.quarantined += 1
-        self.finish(TaskResult(task, worker, error=error, attempts=attempts, status=status))
-        return None
-
-    # -- chunk level (process and cluster engines) -------------------------------
     def load(self, tasks: list[Task], chunk_size: int | None) -> None:
         """Group *tasks* by datum and cut each group into dispatch chunks.
 
@@ -236,14 +232,33 @@ class Dispatch:
             return None
         return max(self.delayed[0][0] - self.clock(), 0.0)
 
-    def pick(self, worker: int) -> list[Task] | None:
-        """The next chunk for idle *worker*, now counted in flight on it."""
+    def pick(self, worker: int, live: int) -> list[Task] | None:
+        """The next chunk for idle *worker*, now counted in flight on it.
+
+        *live* is how many workers could take a retry right now; a task
+        that has failed on that many workers may run on any of them.
+        """
         now = self.clock()
         while self.delayed and self.delayed[0][0] <= now:
             self.pending.append(heapq.heappop(self.delayed)[2])
-        chunk = self.affinity.pick(worker, self.pending)
-        if chunk is not None:
-            self.in_flight[worker] = (chunk, now)
+        allowed = None
+        if self.excluded:
+
+            def allowed(chunk: list[Task]) -> bool:
+                for task in chunk:
+                    failed_on = self.excluded.get(task.key(), ())
+                    if worker in failed_on and len(failed_on) < live:
+                        return False
+                return True
+
+        chunk = self.affinity.pick(worker, self.pending, allowed)
+        if chunk is None:
+            return None
+        if self.excluded:
+            self.stats.exclusion_overrides += sum(
+                worker in self.excluded.get(task.key(), ()) for task in chunk
+            )
+        self.in_flight[worker] = (chunk, now)
         return chunk
 
     def chunk_done(self, worker: int, outcomes: list[Outcome]) -> None:
@@ -254,9 +269,12 @@ class Dispatch:
         for task, (wid, payload, error, status, exec_s) in zip(chunk, outcomes):
             exec_total += exec_s
             if error is None:
-                self.succeed(task, wid, payload)
+                self.attempts[task.key()] += 1
+                self.finish(
+                    TaskResult(task, wid, payload=payload, attempts=self.attempts[task.key()])
+                )
             else:
-                self._retry(task, wid, error, status)
+                self._fail(task, worker, wid, error, status)
         self.stats.execute_seconds += exec_total
         # Queue wait: the chunk's turnaround outside its own execution
         # (worker backlog + transfer).
@@ -275,12 +293,12 @@ class Dispatch:
         """Charge every task of *worker*'s overrun chunk a ``TIMEOUT``.
 
         Charged, unlike a lost worker: the task may itself be the hang.
-        The caller still recycles the worker (:meth:`worker_lost`).
+        The caller still recycles or abandons the worker.
         """
         chunk, _ = self.in_flight.pop(worker)
         for task in chunk:
             self.stats.timeouts += 1
-            self._retry(task, -1, error, int(Status.TIMEOUT))
+            self._fail(task, worker, -1, error, int(Status.TIMEOUT))
 
     def worker_lost(self, worker: int, cause: str) -> bool:
         """*worker* died or was killed; its chunk reruns *uncharged*.
@@ -331,14 +349,29 @@ class Dispatch:
         self.stats.affinity_misses = self.stats.locality_misses = self.affinity.misses
         self.stats.affinity_steals = self.affinity.steals
 
-    def _retry(self, task: Task, worker: int, error: str, status: int) -> None:
-        delay = self.fail(task, worker, error, status)
-        if delay is None:
+    def _fail(self, task: Task, worker: int, reported_by: int, error: str, status: int) -> None:
+        """Charge one failed attempt of *task* on *worker*.
+
+        A transient failure retries after the policy's backoff, kept off
+        *worker*; otherwise the task finishes failed (attributed to
+        *reported_by*), quarantined when its status is permanent.
+        """
+        key = task.key()
+        self.attempts[key] += 1
+        attempts = self.attempts[key]
+        if self.policy.should_retry(status, attempts):
+            self.stats.retries += 1
+            self.excluded[key].add(worker)
+            delay = self.policy.delay(key, attempts)
+            self.stats.backoff_seconds += delay
+            if delay > 0.0:
+                heapq.heappush(self.delayed, (self.clock() + delay, next(self._seq), [task]))
+            else:
+                self.pending.append([task])
             return
-        if delay > 0.0:
-            heapq.heappush(self.delayed, (self.clock() + delay, next(self._seq), [task]))
-        else:
-            self.pending.append([task])
+        if self.policy.is_permanent(status):
+            self.stats.quarantined += 1
+        self.finish(TaskResult(task, reported_by, error=error, attempts=attempts, status=status))
 
 
 __all__ = ["Dispatch", "Outcome", "TaskResult"]

@@ -4,8 +4,8 @@ The paper runs LibPressio-Predict-Bench across supercomputer nodes over
 an MPI task queue; this environment has one core and no MPI, so scaling
 *behaviour* — how locality-aware placement, local caches, and node
 counts shape makespan — is measured on a virtual clock instead.  The
-simulator reuses the same :class:`~repro.bench.taskqueue.LocalityScheduler`
-policy and a simple cost model:
+simulator places tasks with the dispatch core's affinity map (the same
+ownership rule the live engines route by) and a simple cost model:
 
 * loading an uncached datum costs ``nbytes / load_bandwidth`` (plus a
   per-file latency); a cached datum costs the cache hit time;
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .faults import ChaosPlan
-from .taskqueue import LocalityScheduler
+from .dispatch import _AffinityMap
 from .tasks import Task
 
 
@@ -118,8 +118,8 @@ class SimulatedCluster:
         marker files, so the simulator stays side-effect free while
         agreeing with the live harness about *which* tasks fault.
         """
-        pending: deque[Task] = deque(tasks)
-        scheduler = LocalityScheduler() if self.locality_aware else None
+        pending: deque[list[Task]] = deque([task] for task in tasks)
+        affinity = _AffinityMap() if self.locality_aware else None
         caches: dict[int, deque[str]] = {n: deque() for n in range(self.n_nodes)}
         # Event heap: (time, node) = node becomes free at time.
         events = [(0.0, n) for n in range(self.n_nodes)]
@@ -149,22 +149,9 @@ class SimulatedCluster:
                 return True
             return False
 
-        def node_restart(node: int) -> None:
-            # A crashed node comes back cold: its in-memory cache (and
-            # the scheduler's belief about it) is gone, so recovery also
-            # costs refetches — the locality price of a crash.
-            caches[node].clear()
-            if scheduler is not None:
-                scheduler.worker_cache[node].clear()
-
         while pending:
             t, node = heapq.heappop(events)
-            if scheduler is not None:
-                task = scheduler.pick(node, pending)
-            else:
-                task = pending.popleft()
-            if task is None:
-                continue
+            (task,) = affinity.pick(node, pending) if affinity is not None else pending.popleft()
             cache = caches[node]
             cached = task.data_id in cache
             hits += cached
@@ -172,9 +159,7 @@ class SimulatedCluster:
             if not cached:
                 cache.append(task.data_id)
                 while len(cache) > self.cache_capacity_entries:
-                    evicted = cache.popleft()
-                    if scheduler is not None:
-                        scheduler.worker_cache[node].discard(evicted)
+                    cache.popleft()
             load_s = self.load_cost(task, cached)
             compute_s = float(compute_cost(task))
             key = task.key()
@@ -187,8 +172,11 @@ class SimulatedCluster:
                 wasted += lost
                 recovery_total += recovery_seconds
                 busy[node] += lost
-                node_restart(node)
-                pending.append(task)
+                # The node comes back cold, so recovery also costs
+                # refetches — the locality price of a crash.  It keeps
+                # its datum ownership, as a rebuilt process slot does.
+                caches[node].clear()
+                pending.append([task])
                 finish = t + lost + recovery_seconds
                 makespan = max(makespan, finish)
                 heapq.heappush(events, (finish, node))
@@ -201,7 +189,7 @@ class SimulatedCluster:
                 lost = load_s + chaos.hang_seconds
                 wasted += lost
                 busy[node] += lost
-                pending.append(task)
+                pending.append([task])
                 finish = t + lost
                 makespan = max(makespan, finish)
                 heapq.heappush(events, (finish, node))
@@ -213,7 +201,7 @@ class SimulatedCluster:
                 retries += 1
                 wasted += load_s
                 busy[node] += load_s
-                pending.append(task)
+                pending.append([task])
                 finish = t + load_s
                 makespan = max(makespan, finish)
                 heapq.heappush(events, (finish, node))

@@ -18,13 +18,14 @@ Engines:
   (:mod:`repro.bench.cluster.engine`).
 
 Every engine is a transport shell around one bookkeeping core,
-:class:`~repro.bench.dispatch.Dispatch`: retries and their backoff,
-quarantine, the isolated ``on_result`` sink, ``QueueStats`` counting,
-datum chunking with affinity routing, the uncharged requeue after a lost
-worker and the crash-loop cap.  Serial and thread keep their own
-exclusion-aware pick over :class:`LocalityScheduler`; the discrete-event
-:class:`~repro.bench.simcluster.SimulatedCluster` reuses that scheduler
-to *measure* placement quality under a virtual clock.
+:class:`~repro.bench.dispatch.Dispatch`: datum chunking with affinity
+routing, failed-worker exclusion, retries and their backoff, quarantine,
+the isolated ``on_result`` sink, ``QueueStats`` counting, in-flight
+tracking with the shared deadline rule, the uncharged requeue after a
+lost worker and the crash-loop cap; its module docstring states the
+coordination invariants every engine keeps.  The discrete-event
+:class:`~repro.bench.simcluster.SimulatedCluster` places tasks with the
+same affinity map to *measure* placement quality under a virtual clock.
 
 Fault domains supervised (see :mod:`repro.bench.faults`):
 
@@ -32,30 +33,20 @@ Fault domains supervised (see :mod:`repro.bench.faults`):
   (retried with exponential backoff + deterministic jitter) and
   permanent (quarantined on first failure: a task asking for an
   unsupported scheme can never succeed, so no attempts are burned);
-* **hangs** — with ``task_timeout`` set, a watchdog abandons thread
-  tasks past their deadline (the result of an abandoned execution is
-  discarded if it ever arrives), the process engine recycles the
-  overrunning worker's slot, since a hung worker process cannot be
-  reclaimed any other way, and the serial engine — which has no second
-  thread to supervise from — preempts the running task with a SIGALRM
-  deadline guard (main thread only).  Timed-out tasks retry after the
-  policy's backoff on every engine;
+* **hangs** — with ``task_timeout`` set, a thread, process or cluster
+  dispatch is overdue after one deadline per task plus one of grace; a
+  watchdog abandons overdue thread tasks (the result of an abandoned
+  execution is discarded if it ever arrives), the process engine
+  recycles the overrunning worker's slot, since a hung worker process
+  cannot be reclaimed any other way, and the serial engine — which has
+  no second thread to supervise from — preempts the running task with a
+  SIGALRM deadline guard (main thread only).  Timed-out tasks retry
+  after the policy's backoff on every engine;
 * **worker crashes** — a dead worker process breaks its slot; the queue
   rebuilds it, requeues its in-flight tasks *without* charging them an
   attempt (the pool, not the task, failed), and caps consecutive
   no-progress rebuilds so a crash-looping worker fails the run with a
   diagnosis instead of hanging it.
-
-Coordination invariants (thread engine):
-
-* no worker exits while any task is executing or awaiting retry — a
-  failure can always be retried on a live worker;
-* a worker a task failed on is excluded from retrying it for as long as
-  any worker the task has *not* failed on remains; the exclusion is only
-  lifted when the task has failed on every worker;
-* polls are O(pending): virgin tasks live in one deque scanned once by
-  the scheduler, retried tasks in a separate (small) deque — no
-  copy-the-deque-per-poll.
 """
 
 from __future__ import annotations
@@ -65,7 +56,6 @@ import signal
 import threading
 import time
 import warnings
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -154,7 +144,8 @@ class QueueStats:
     execute_seconds: float = 0.0
     checkpoint_seconds: float = 0.0
     #: Times a worker ran a task it was excluded from because the task
-    #: had already failed on every worker (the only sanctioned override).
+    #: had already failed on as many workers as were live (the only
+    #: sanctioned override).
     exclusion_overrides: int = 0
     #: The engine that actually ran (``n_workers=1`` downgrades to
     #: serial) and the engine the caller asked for — so ``--queue-stats``
@@ -242,59 +233,6 @@ class QueueStats:
         }
 
 
-class LocalityScheduler:
-    """Greedy data-affinity assignment with ownership claims.
-
-    Each worker remembers the data ids it has already loaded (its local
-    cache).  A free worker prefers a pending task whose data it holds.
-    On a miss it prefers a task whose data *no other worker has claimed*
-    — without this, N workers pulling from a FIFO of N-task-per-datum
-    batches scatter every datum across every worker and locality drops
-    to zero exactly when it matters most.
-    """
-
-    def __init__(self) -> None:
-        self.worker_cache: dict[int, set[str]] = defaultdict(set)
-        self.data_owner: dict[str, int] = {}
-        self.stats_hits = 0
-        self.stats_misses = 0
-
-    def pick(self, worker: int, pending: deque[Task]) -> Task | None:
-        if not pending:
-            return None
-        cache = self.worker_cache[worker]
-        for i, task in enumerate(pending):
-            if task.data_id in cache:
-                del pending[i]
-                self.stats_hits += 1
-                return task
-        # Miss: claim an unowned datum if one exists, so each worker
-        # builds its own partition instead of stealing another's.
-        chosen = 0
-        for i, task in enumerate(pending):
-            if task.data_id not in self.data_owner:
-                chosen = i
-                break
-        task = pending[chosen]
-        del pending[chosen]
-        self.stats_misses += 1
-        cache.add(task.data_id)
-        self.data_owner.setdefault(task.data_id, worker)
-        return task
-
-    def note_loaded(self, worker: int, data_id: str) -> None:
-        self.worker_cache[worker].add(data_id)
-        self.data_owner.setdefault(data_id, worker)
-
-    def note_assigned(self, worker: int, data_id: str) -> None:
-        """Record a placement made outside :meth:`pick` (e.g. a retry)."""
-        if data_id in self.worker_cache[worker]:
-            self.stats_hits += 1
-        else:
-            self.stats_misses += 1
-            self.note_loaded(worker, data_id)
-
-
 class TaskQueue:
     """Run tasks through a callable with retries and locality placement.
 
@@ -315,23 +253,26 @@ class TaskQueue:
         Full fault-domain policy: backoff, jitter seed, and which status
         codes are permanent (quarantined on first failure).
     task_timeout:
-        Per-task deadline in seconds.  On the thread engine a watchdog
-        abandons overdue executions; on the process and cluster engines
-        an overdue chunk recycles its worker (hung worker processes are
-        terminated).  The serial engine enforces the deadline in-line
-        with a SIGALRM guard — main thread only; elsewhere it degrades
-        to a no-op with a one-time warning.  Timed-out tasks retry after
-        the policy's backoff.  ``None`` (default) disables supervision.
+        Per-task deadline in seconds.  On the thread, process and
+        cluster engines a dispatch is overdue once it has run one
+        deadline per task plus one of grace (twice the deadline for a
+        single task): a watchdog abandons an overdue thread execution,
+        and an overdue chunk recycles its worker process or rank.  The
+        serial engine enforces the deadline itself, in-line, with a
+        SIGALRM guard — main thread only; elsewhere it degrades to a
+        no-op with a one-time warning.  Timed-out tasks retry after the
+        policy's backoff.  ``None`` (default) disables supervision.
     max_pool_rebuilds:
         Consecutive no-progress worker losses (pool rebuilds, rank
         deaths) tolerated before the run fails with a diagnosis
         (process and cluster engines).
     chunk_size:
-        Process-engine dispatch granularity: tasks per chunk within a
-        datum group.  ``None`` (default) dispatches whole groups —
-        maximum batching; a small value interleaves datums across
-        workers and lets the affinity map route later chunks back to
-        whichever worker loaded the datum first.
+        Process- and cluster-engine dispatch granularity: tasks per
+        chunk within a datum group.  ``None`` (default) dispatches whole
+        groups — maximum batching; a small value interleaves datums
+        across workers and lets the affinity map route later chunks back
+        to whichever worker loaded the datum first.  The serial and
+        thread engines always dispatch single tasks.
     data_plane:
         Label for how bytes move between loader and worker
         (``pickle``/``mmap``/``shm``); recorded in :class:`QueueStats`.
@@ -480,151 +421,74 @@ class TaskQueue:
         *,
         on_result: Callable[[TaskResult], None] | None,
     ) -> tuple[list[TaskResult], QueueStats]:
-        scheduler = LocalityScheduler()
-        pending: deque[Task] = deque(tasks)  # never-failed tasks
-        #: Failed ≥1×, awaiting retry: (task, monotonic not-before time).
-        retry_pending: deque[tuple[Task, float]] = deque()
-        excluded: dict[str, set[int]] = defaultdict(set)
-        in_flight = 0
+        """Run single-task chunks on worker threads (or the calling thread).
+
+        A transport shell around :class:`~repro.bench.dispatch.Dispatch`:
+        picking, retries, exclusion, in-flight tracking and the deadline
+        all live in the core.  What stays here is what threads need —
+        the condition variable, the watchdog that abandons an overdue
+        execution (a thread cannot be killed, so the hung worker's late
+        outcome is dropped via ``abandoned``), and the serial engine's
+        SIGALRM guard, since a lone thread has nobody to watch it.
+        """
         stats = QueueStats(engine=self.engine, requested_engine=self.requested_engine)
         core = Dispatch(self.retry_policy, stats, on_result)
-        if self.lock_witness is not None:
-            cond = threading.Condition(
-                self.lock_witness.wrap(name="taskqueue.cond")
-            )
-        else:
-            cond = threading.Condition()
+        core.load(tasks, 1)
+        lock = None if self.lock_witness is None else self.lock_witness.wrap(name="taskqueue.cond")
+        cond = threading.Condition(lock)
         n_workers = self.n_workers if self.engine == "thread" else 1
-        # Hang supervision state (watchdog mode): live executions by a
-        # unique id, plus ids the watchdog gave up on — a late result
-        # from an abandoned execution is discarded, not double-counted.
-        use_watchdog = self.task_timeout is not None and n_workers > 1
-        # Serial engine: no second thread exists to watch this one, so
-        # the deadline is enforced in-line by a SIGALRM guard instead.
-        serial_deadline = (
-            self.task_timeout if (self.task_timeout is not None and n_workers == 1) else None
-        )
-        executing: dict[int, tuple[Task, int, float]] = {}
+        timeout = self.task_timeout
+        serial_deadline = timeout if n_workers == 1 else None
+        #: Workers stuck in an execution the watchdog gave up on.
         abandoned: set[int] = set()
-        exec_counter = [0]
         stop_watchdog = threading.Event()
 
-        def charge_failure(task: Task, worker: int, error: str, status: int) -> None:
-            # Called under the lock.  The core decides; a retry is kept
-            # off the worker it failed on (see take()).
-            delay = core.fail(task, worker, error, status)
-            if delay is not None:
-                excluded[task.key()].add(worker)
-                retry_pending.append((task, time.monotonic() + delay))
-
-        def take(worker: int) -> Task | None:
-            # Called under the lock.  Retries first so they are not
-            # starved behind the virgin queue; the deque is bounded by
-            # the number of distinct failures, so this scan stays small.
-            now = time.monotonic()
-            for i, (task, ready_at) in enumerate(retry_pending):
-                if ready_at <= now and worker not in excluded[task.key()]:
-                    del retry_pending[i]
-                    scheduler.note_assigned(worker, task.data_id)
-                    return task
-            task = scheduler.pick(worker, pending)
-            if task is not None:
-                return task
-            # Only tasks this worker is excluded from (or still backing
-            # off) remain.  Take an excluded one anyway *only* when it
-            # has failed on every worker — no live worker could honor
-            # the exclusion.
-            for i, (task, ready_at) in enumerate(retry_pending):
-                if ready_at <= now and len(excluded[task.key()]) >= n_workers:
-                    del retry_pending[i]
-                    stats.exclusion_overrides += 1
-                    scheduler.note_assigned(worker, task.data_id)
-                    return task
-            return None
-
-        def backoff_wait_bound() -> float | None:
-            # Called under the lock: the soonest a delayed retry becomes
-            # runnable, so a waiting worker wakes in time to take it.
-            now = time.monotonic()
-            bounds = [ready_at - now for _, ready_at in retry_pending if ready_at > now]
-            return max(min(bounds), 1e-4) if bounds else None
-
         def worker_loop(worker: int) -> None:
-            nonlocal in_flight
             while True:
                 with cond:
-                    while True:
-                        task = take(worker)
-                        if task is not None:
-                            in_flight += 1
-                            exec_counter[0] += 1
-                            exec_id = exec_counter[0]
-                            if use_watchdog:
-                                executing[exec_id] = (task, worker, time.monotonic())
-                            break
-                        if not pending and not retry_pending and in_flight == 0:
-                            # Genuinely drained: nothing queued and no
-                            # execution that could still fail and requeue.
+                    while (chunk := core.pick(worker, n_workers - len(abandoned))) is None:
+                        if core.drained:
                             cond.notify_all()
                             return
+                        bound = core.next_ready_in()
                         t0 = time.perf_counter()
-                        cond.wait(timeout=backoff_wait_bound())
+                        cond.wait(timeout=None if bound is None else bound + 1e-4)
                         stats.queue_wait_seconds += time.perf_counter() - t0
-                key = task.key()
+                (task,) = chunk
                 error: str | None = None
                 status = int(Status.SUCCESS)
                 payload: dict[str, Any] | None = None
                 t0 = time.perf_counter()
                 try:
-                    with _serial_deadline(serial_deadline, key):
+                    with _serial_deadline(serial_deadline, task.key()):
                         payload = task_fn(task, worker)
                 except Exception as exc:  # noqa: BLE001 - fault isolation boundary
                     error = f"{type(exc).__name__}: {exc}"
                     status = error_status(exc)
                 elapsed = time.perf_counter() - t0
                 with cond:
-                    stats.execute_seconds += elapsed
-                    if serial_deadline is not None and status == int(Status.TIMEOUT):
-                        stats.timeouts += 1
-                    if exec_id in abandoned:
+                    if worker in abandoned:
                         # The watchdog already charged this execution as
-                        # a timeout and requeued/failed the task; the
-                        # worker rejoins the pool and the stale outcome
-                        # is dropped.
-                        abandoned.discard(exec_id)
-                        cond.notify_all()
-                        continue
-                    executing.pop(exec_id, None)
-                    in_flight -= 1
-                    if error is not None:
-                        charge_failure(task, worker, error, status)
+                        # a timeout; the worker rejoins the pool and the
+                        # stale outcome is dropped.
+                        abandoned.discard(worker)
                     else:
-                        core.succeed(task, worker, payload)
+                        if serial_deadline is not None and status == int(Status.TIMEOUT):
+                            stats.timeouts += 1
+                        core.chunk_done(worker, [(worker, payload, error, status, elapsed)])
                     cond.notify_all()
 
         def watchdog_loop() -> None:
-            nonlocal in_flight
-            deadline = float(self.task_timeout or 0.0)
-            poll = max(min(deadline / 4.0, 0.25), 0.005)
+            poll = max(min(timeout / 4.0, 0.25), 0.005)
             while not stop_watchdog.wait(poll):
                 with cond:
-                    now = time.monotonic()
-                    for exec_id, (task, worker, t0) in list(executing.items()):
-                        if now - t0 <= deadline:
-                            continue
-                        # Abandon: the hung thread cannot be killed, but
-                        # the task can be charged, requeued elsewhere,
-                        # and its eventual (stale) result discarded.
-                        executing.pop(exec_id)
-                        abandoned.add(exec_id)
-                        in_flight -= 1
-                        stats.timeouts += 1
-                        charge_failure(
-                            task,
-                            worker,
-                            f"TaskTimeoutError: task exceeded {deadline:g}s deadline",
-                            int(Status.TIMEOUT),
+                    overdue = core.overdue(timeout)
+                    for worker in overdue:
+                        abandoned.add(worker)
+                        core.chunk_timed_out(
+                            worker, f"TaskTimeoutError: task exceeded {timeout:g}s deadline"
                         )
+                    if overdue:
                         cond.notify_all()
 
         if n_workers == 1:
@@ -634,29 +498,25 @@ class TaskQueue:
                 threading.Thread(target=worker_loop, args=(w,), daemon=True)
                 for w in range(n_workers)
             ]
-            watchdog = None
-            if use_watchdog:
-                watchdog = threading.Thread(target=watchdog_loop, daemon=True)
-                watchdog.start()
             for t in threads:
                 t.start()
-            if use_watchdog:
-                # A hung worker never returns, so joining it would hang
-                # the queue too; wait on the drain condition instead and
-                # leave abandoned daemon threads behind.
-                with cond:
-                    while pending or retry_pending or in_flight:
-                        cond.wait(timeout=0.05)
-                stop_watchdog.set()
-                if watchdog is not None:
-                    watchdog.join(timeout=1.0)
-                for t in threads:
-                    t.join(timeout=0.1)
-            else:
+            if timeout is None:
                 for t in threads:
                     t.join()
-        stats.locality_hits = scheduler.stats_hits
-        stats.locality_misses = scheduler.stats_misses
+            else:
+                # A hung worker never returns, so joining it would hang
+                # the queue too; wait for the core to drain instead and
+                # leave abandoned daemon threads behind.
+                watchdog = threading.Thread(target=watchdog_loop, daemon=True)
+                watchdog.start()
+                with cond:
+                    while not core.drained:
+                        cond.wait(timeout=0.05)
+                stop_watchdog.set()
+                watchdog.join(timeout=1.0)
+                for t in threads:
+                    t.join(timeout=0.1)
+        core.export_affinity()
         return core.results, stats
 
     # -- process engine ----------------------------------------------------------
@@ -749,7 +609,7 @@ class TaskQueue:
                 for wid in range(self.n_workers):
                     if wid in futs:
                         continue
-                    chunk = core.pick(wid)
+                    chunk = core.pick(wid, self.n_workers)
                     if chunk is None:
                         continue
                     if wid not in pools:

@@ -53,7 +53,10 @@ def _unpack_header(stream: bytes) -> tuple[np.dtype, tuple[int, ...], bytes]:
     off = _HEADER.size
     dlen = int.from_bytes(stream[off : off + 2], "little")
     off += 2
-    dtype = np.dtype(stream[off : off + dlen].decode())
+    try:
+        dtype = np.dtype(stream[off : off + dlen].decode())
+    except (TypeError, ValueError) as exc:  # incl. UnicodeDecodeError
+        raise CorruptStreamError(f"bad dtype in stream header: {exc}") from exc
     off += dlen
     shape = tuple(
         int.from_bytes(stream[off + 8 * i : off + 8 * (i + 1)], "little")

@@ -216,8 +216,12 @@ class SZ3StageProbeMetric(MetricsPlugin):
             blocks = sample_blocks(
                 input_data.array, block=self.block, fraction=self.fraction, seed=self.seed
             )
-            side = self.block
-            target = blocks.reshape((-1,) + (side,) * input_data.ndim) if blocks.size else blocks
+            shape = input_data.array.shape
+            if all(dim >= self.block for dim in shape):
+                shape = (-1,) + (self.block,) * input_data.ndim
+            # else: smaller than one block, so sample_blocks returned the
+            # whole field as one row — predict it in its own shape.
+            target = blocks.reshape(shape) if blocks.size else blocks
         resid = self.compressor.predict_residuals(target)
         flat = resid.reshape(-1)
         if flat.size == 0:

@@ -2,10 +2,11 @@
 
 A hypothesis state machine drives :class:`repro.bench.dispatch.Dispatch`
 with random sequences of the events the engines feed it — a worker picks
-a chunk, a chunk reports per-task outcomes (success, transient or
-permanent failure), a chunk times out, a worker is lost, time passes —
-against a fake clock, and checks the bookkeeping invariants after every
-step instead of for a handful of hand-written schedules.
+a chunk (with a varying count of live workers), a chunk reports per-task
+outcomes (success, transient or permanent failure), a chunk times out, a
+worker is lost, time passes — against a fake clock, and checks the
+bookkeeping invariants after every step instead of for a handful of
+hand-written schedules.
 """
 
 from collections import Counter
@@ -74,12 +75,15 @@ class DispatchMachine(RuleBasedStateMachine):
         self.not_before: dict[str, float] = {}
         self.lost_streak = 0
         self.quarantined = 0
+        #: key → workers the task has failed on; exclusion overrides seen.
+        self.failed_on: dict[str, set[int]] = {}
+        self.overrides = 0
 
     # -- helpers ------------------------------------------------------------------
     def _finished(self) -> set[str]:
         return {r.task.key() for r in self.reported}
 
-    def _charge(self, task, error_status: int | None, first_report: int) -> None:
+    def _charge(self, task, worker, error_status: int | None, first_report: int) -> None:
         """Model one charged attempt and check the core's decision."""
         key = task.key()
         self.attempts[key] += 1
@@ -88,6 +92,7 @@ class DispatchMachine(RuleBasedStateMachine):
         if error_status is None:
             assert len(finished) == 1 and finished[0].ok and finished[0].attempts == n
             return
+        self.failed_on.setdefault(key, set()).add(worker)
         if self.policy.should_retry(error_status, n):
             assert not finished
             self.not_before[key] = self.now + self.policy.delay(key, n)
@@ -101,11 +106,11 @@ class DispatchMachine(RuleBasedStateMachine):
 
     # -- rules --------------------------------------------------------------------
     @precondition(lambda self: not self.core.aborted)
-    @rule(worker=st.sampled_from(WORKERS))
-    def pick(self, worker):
+    @rule(worker=st.sampled_from(WORKERS), live=st.integers(1, len(WORKERS)))
+    def pick(self, worker, live):
         if worker in self.core.in_flight:
             return
-        chunk = self.core.pick(worker)
+        chunk = self.core.pick(worker, live)
         if chunk is None:
             return
         assert self.core.in_flight[worker][0] is chunk
@@ -113,6 +118,12 @@ class DispatchMachine(RuleBasedStateMachine):
             assert task.key() not in self._finished()
             # No retry runs before its backoff expires.
             assert self.now >= self.not_before.get(task.key(), 0.0)
+            # A retry never reaches a worker it failed on while fewer
+            # than `live` workers have failed it; each override counts.
+            failed_on = self.failed_on.get(task.key(), set())
+            if worker in failed_on:
+                assert len(failed_on) >= live
+                self.overrides += 1
 
     @precondition(lambda self: not self.core.aborted and self.core.in_flight)
     @rule(data=st.data())
@@ -141,7 +152,7 @@ class DispatchMachine(RuleBasedStateMachine):
         self.core.chunk_done(worker, outcomes)
         self.lost_streak = 0
         for task, kind in zip(chunk, kinds):
-            self._charge(task, status[kind], first)
+            self._charge(task, worker, status[kind], first)
 
     @precondition(lambda self: not self.core.aborted and self.core.in_flight)
     @rule(data=st.data())
@@ -151,7 +162,7 @@ class DispatchMachine(RuleBasedStateMachine):
         first = len(self.reported)
         self.core.chunk_timed_out(worker, "TaskTimeoutError: deadline")
         for task in chunk:
-            self._charge(task, int(Status.TIMEOUT), first)
+            self._charge(task, worker, int(Status.TIMEOUT), first)
 
     @precondition(lambda self: not self.core.aborted)
     @rule(worker=st.sampled_from(WORKERS))
@@ -195,6 +206,10 @@ class DispatchMachine(RuleBasedStateMachine):
         assert self.stats.quarantined == self.quarantined
 
     @invariant()
+    def every_exclusion_override_counted(self):
+        assert self.stats.exclusion_overrides == self.overrides
+
+    @invariant()
     def attempts_match_model_and_never_decrease(self):
         for key, n in self.core.attempts.items():
             assert n == self.attempts[key]
@@ -214,7 +229,7 @@ class DispatchMachine(RuleBasedStateMachine):
                 break
             for worker in WORKERS:
                 if worker not in self.core.in_flight:
-                    self.core.pick(worker)
+                    self.core.pick(worker, len(WORKERS))
             for worker in sorted(self.core.in_flight):
                 chunk = self.core.in_flight[worker][0]
                 self.core.chunk_done(
@@ -238,14 +253,14 @@ class TestDispatchUnits:
         core = Dispatch(RetryPolicy(), QueueStats())
         core.load(tasks, 2)
         assert [len(c) for c in core.pending] == [2, 1, 2, 1]
-        first = core.pick(0)
-        second = core.pick(1)
+        first = core.pick(0, 2)
+        second = core.pick(1, 2)
         assert first[0].data_id == "data/0" and second[0].data_id == "data/1"
 
     def test_lost_worker_requeues_single_task_chunks(self):
         core = Dispatch(RetryPolicy(), QueueStats())
         core.load(make_tasks(n_data=1, per_data=3), None)
-        chunk = core.pick(0)
+        chunk = core.pick(0, 1)
         assert len(chunk) == 3
         assert core.worker_lost(0, "killed")
         assert [len(c) for c in core.pending] == [1, 1, 1]
@@ -258,11 +273,23 @@ class TestDispatchUnits:
             RetryPolicy(base_delay=0.5, jitter=0.0), stats, clock=lambda: now[0]
         )
         core.load(make_tasks(n_data=1, per_data=1), None)
-        core.pick(0)
+        core.pick(0, 1)
         now[0] = 10.0
         assert core.overdue(1.0) == [0]
         core.chunk_timed_out(0, "TaskTimeoutError: deadline")
         assert stats.timeouts == 1 and stats.backoff_seconds == pytest.approx(0.5)
-        assert core.pick(0) is None and core.next_ready_in() == pytest.approx(0.5)
+        assert core.pick(0, 1) is None and core.next_ready_in() == pytest.approx(0.5)
         now[0] = 10.5
-        assert core.pick(0) is not None
+        assert core.pick(0, 1) is not None
+
+    def test_retry_stays_off_failed_worker_until_every_live_worker_failed(self):
+        stats = QueueStats()
+        core = Dispatch(RetryPolicy(max_retries=3, base_delay=0.0), stats)
+        core.load(make_tasks(n_data=1, per_data=1), None)
+        core.pick(0, 2)
+        core.chunk_done(0, [(0, None, "transient failure", TRANSIENT, 0.0)])
+        assert core.pick(0, 2) is None  # worker 1 has not failed it yet
+        core.pick(1, 2)
+        core.chunk_done(1, [(1, None, "transient failure", TRANSIENT, 0.0)])
+        assert core.pick(0, 2) is not None  # failed everywhere: override
+        assert stats.exclusion_overrides == 1

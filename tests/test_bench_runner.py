@@ -323,3 +323,21 @@ class TestFaultDomainCollection:
         assert failures == [] and stats.failed == 0
         assert stats.retries == len(runner.build_tasks())
         assert plan.injected_counts()["exception"] == stats.retries
+
+
+class TestFieldsSmallerThanOneBlock:
+    @pytest.mark.parametrize("shape", [(8, 8, 4), (16, 16, 4)])
+    def test_khan2023_sampled_probe_collects(self, shape):
+        """A field thinner than one 8-wide probe block is probed whole,
+        in its own shape, instead of failing every sz3 task."""
+        runner = ExperimentRunner(
+            HurricaneDataset(shape=shape, timesteps=1),
+            compressors=("sz3",),
+            bounds=(1e-4,),
+            schemes=("khan2023",),
+        )
+        obs, stats, failures = runner.collect()
+        assert stats.failed == 0 and stats.retries == 0 and not failures
+        assert stats.completed == len(obs) == 13
+        size = int(np.prod(shape))
+        assert all(o["sz3probe_sampled:probed_values"] == size for o in obs)

@@ -3,11 +3,10 @@
 import os
 import threading
 import time
-from collections import deque
-
 import pytest
 
-from repro.bench import FaultInjector, LocalityScheduler, Task, TaskQueue
+from repro.bench import FaultInjector, QueueStats, RetryPolicy, Task, TaskQueue
+from repro.bench.dispatch import Dispatch
 from repro.core import Status, TaskFailedError
 
 
@@ -30,17 +29,20 @@ def make_tasks(n_data=4, per_data=3):
 
 
 class TestLocalityScheduler:
+    """The locality rule every engine and the simulator route by: the
+    dispatch core's affinity pick."""
+
     def test_prefers_cached_data(self):
-        sched = LocalityScheduler()
-        tasks = make_tasks(n_data=2, per_data=2)
-        pending = deque(tasks)
-        first = sched.pick(0, pending)  # miss, caches data/0
-        second = sched.pick(0, pending)  # should hit data/0 again
+        core = Dispatch(RetryPolicy(), QueueStats())
+        core.load(make_tasks(n_data=2, per_data=2), 1)
+        (first,) = core.pick(0, 1)  # miss, caches data/0
+        core.chunk_done(0, [(0, {}, None, int(Status.SUCCESS), 0.0)])
+        (second,) = core.pick(0, 1)  # should hit data/0 again
         assert first.data_id == second.data_id == "data/0"
-        assert sched.stats_hits == 1 and sched.stats_misses == 1
+        assert core.affinity.hits == 1 and core.affinity.misses == 1
 
     def test_empty_pending(self):
-        assert LocalityScheduler().pick(0, deque()) is None
+        assert Dispatch(RetryPolicy(), QueueStats()).pick(0, 1) is None
 
 
 class TestTaskQueue:
@@ -256,6 +258,22 @@ class TestQueueStress:
         assert {r.task.key() for r in results} == {t.key() for t in tasks}
         assert all(r.payload["w"] == r.worker for r in results)
 
+    def test_process_retry_stays_off_the_slot_it_failed_on(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(_CRASH_DIR_ENV, str(tmp_path))
+        tasks = make_tasks(n_data=3, per_data=2)
+        results, stats = TaskQueue(2, "process", max_retries=2, chunk_size=1).run(
+            tasks, _fail_first_attempt_logged
+        )
+        assert stats.failed == 0 and stats.completed == len(tasks)
+        assert stats.retries == len(tasks) and stats.exclusion_overrides == 0
+        attempts: dict[str, list[int]] = {}
+        for line in (tmp_path / "attempts.log").read_text().splitlines():
+            key, worker = line.split()
+            attempts.setdefault(key, []).append(int(worker))
+        assert sorted(attempts) == sorted(t.key() for t in tasks)
+        for key, workers in attempts.items():
+            assert len(workers) == 2 and workers[1] != workers[0], (key[:8], workers)
+
     def test_process_engine_retries_transient_failures(self):
         tasks = make_tasks(n_data=3, per_data=2)
         results, stats = TaskQueue(2, "process", max_retries=2).run(
@@ -334,6 +352,20 @@ def _crash_once_worker(task, worker):
             os.close(fd)
             os._exit(3)
     return {"w": worker}
+
+
+def _fail_first_attempt_logged(task, worker):
+    """Logs every attempt as ``key worker`` and fails each task's first
+    attempt — file-backed, so it works across worker processes."""
+    root = os.environ[_CRASH_DIR_ENV]
+    with open(os.path.join(root, "attempts.log"), "a") as log:
+        log.write(f"{task.key()} {worker}\n")
+    try:
+        fd = os.open(os.path.join(root, task.key()), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return {"w": worker}
+    os.close(fd)
+    raise TaskFailedError("first attempt fails", task_key=task.key())
 
 
 def _always_crash_worker(task, worker):

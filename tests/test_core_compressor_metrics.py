@@ -13,7 +13,7 @@ from repro.core import (
     compressor_registry,
     make_compressor,
 )
-from repro.core.compressor import clone_compressor, _pack_header, _unpack_header
+from repro.core.compressor import _HEADER, clone_compressor, _pack_header, _unpack_header
 from repro.compressors import SZ3Compressor  # registers real codecs
 
 
@@ -34,6 +34,21 @@ class TestStreamHeader:
         stream = _pack_header(arr, b"abcdef")
         with pytest.raises(CorruptStreamError):
             _unpack_header(stream[:-3])
+
+    @pytest.mark.parametrize("bad_dtype", [b"\xff\xfe\xfd", b"<v4"], ids=["non-utf8", "unknown"])
+    def test_corrupt_dtype_field(self, bad_dtype):
+        """A damaged dtype field is a corrupt stream, so the failure
+        ledger records CORRUPT_STREAM rather than a generic error."""
+        from repro.core import Status
+        from repro.core.errors import error_status
+
+        stream = bytearray(NoopCompressor().compress(np.zeros(4, dtype=np.float32)).tobytes())
+        dtype_at = _HEADER.size + 2  # after the fixed header and the dtype length
+        assert stream[dtype_at : dtype_at + 3] == b"<f4"
+        stream[dtype_at : dtype_at + 3] = bad_dtype
+        with pytest.raises(CorruptStreamError) as info:
+            NoopCompressor().decompress(bytes(stream))
+        assert error_status(info.value) == int(Status.CORRUPT_STREAM)
 
 
 class TestNoop:
